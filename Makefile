@@ -5,13 +5,14 @@ PYTEST := PYTHONPATH=src python -m pytest
 	lint lockdep
 
 # The gating suite: the full test tree (tier 1), then the concurrency
-# and caching suites plus the index differential suite (indexed ==
-# scan, bit for bit) once more on their own.  Test-order randomisation
-# is disabled so failures bisect deterministically.
+# and caching suites plus the two differential suites (indexed == scan,
+# bit for bit; the exact one-row planner == the ILP optimum) once more
+# on their own.  Test-order randomisation is disabled so failures
+# bisect deterministically.
 check:
 	$(PYTEST) -x -q -p no:randomly
 	$(PYTEST) -q -p no:randomly tests/test_concurrency.py tests/caching \
-		tests/sqldb/test_index_differential.py
+		tests/sqldb/test_index_differential.py tests/core/test_exact_row.py
 
 # Fast development loop: everything except the paper-experiment
 # regeneration suite (marked `slow`).
@@ -22,7 +23,8 @@ fast:
 # settings in pyproject.toml ([[tool.mypy.overrides]]).
 TYPED_CORE := src/repro/caching src/repro/resilience \
 	src/repro/observability/metrics.py src/repro/execution/parallel.py \
-	src/repro/sqldb/index.py src/repro/flags.py
+	src/repro/sqldb/index.py src/repro/flags.py \
+	src/repro/core/exact_row.py
 
 # Static analysis: the repo-specific muvelint rules (stdlib-only,
 # always runs) and the README flag-table drift gate, then ruff and

@@ -39,7 +39,6 @@ import json
 import time
 
 from repro.core.model import ScreenGeometry
-from repro.core.planner import VisualizationPlanner
 from repro.datasets.generators import DATASET_GENERATORS
 from repro.datasets.workload import WorkloadGenerator
 from repro.experiments.robustness import _speak
@@ -64,11 +63,11 @@ def build_muve(rows: int, registry: MetricsRegistry, slo: SloEngine,
     database = Database(seed=seed)
     generator = DATASET_GENERATORS["nyc311"]
     database.register_table(generator(num_rows=rows, seed=seed))
-    # Greedy planner: the sentinel gates quality drift and latency, not
-    # solver choice, and greedy keeps the rounds fast and deterministic.
+    # The default planner, as served: on the one-row default screen the
+    # "best" strategy's exact search is fast and deterministic, so the
+    # sentinel gates the plans users actually get.
     return Muve(database, "nyc311", seed=seed,
                 geometry=ScreenGeometry(),
-                planner=VisualizationPlanner(strategy="greedy"),
                 metrics=registry, slo=slo)
 
 

@@ -39,7 +39,9 @@ def incremental_solve(problem: MultiplotSelectionProblem,
 
     Defaults follow the paper's Figure 9 configuration (``k = 62.5 ms``,
     ``b = 2``).  Iteration stops when a step proves optimality or the
-    cumulative budget is exhausted.  Steps where the solver found no
+    cumulative budget is exhausted; a last step is truncated to the
+    remaining budget only while that keeps the timeouts from shrinking
+    (otherwise the remainder is left unused).  Steps where the solver found no
     incumbent at all are skipped silently (nothing to show yet).
     """
     if initial_timeout <= 0 or growth_factor <= 1.0:
@@ -52,6 +54,10 @@ def incremental_solve(problem: MultiplotSelectionProblem,
     while cumulative < total_budget:
         timeout = min(initial_timeout * growth_factor ** step,
                       total_budget - cumulative)
+        if step and timeout < initial_timeout * growth_factor ** (step - 1):
+            # The leftover budget is shorter than the step before it:
+            # a fresh solve that short only repeats less of that work.
+            return
         try:
             solution = solver.solve(problem,
                                     processing_groups=processing_groups,

@@ -1,8 +1,8 @@
 """The visualization planner façade.
 
-Chooses between the ILP and greedy solvers (or races them under the
-interactive budget) and normalises their outputs into one result type —
-this is the "Visualization Planner" box of Figure 1.
+Chooses between the exact one-row search, the ILP and the greedy solver
+and normalises their outputs into one result type — this is the
+"Visualization Planner" box of Figure 1.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.core.exact_row import exact_row_applies, solve_exact_row
 from repro.core.greedy import GreedySolver
 from repro.core.ilp import IlpSolver, ProcessingGroup
 from repro.core.model import Multiplot
@@ -34,10 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 class PlannerResult:
     """A planned multiplot plus solver metadata.
 
-    ``greedy_cost`` / ``ilp_cost`` carry the expected cost of each
-    solver when it ran for this plan (the "best" strategy runs both), so
-    quality telemetry can report the live greedy-vs-ILP optimality gap;
-    ``None`` means that solver was not consulted.
+    ``greedy_cost`` / ``ilp_cost`` carry the expected cost of the greedy
+    plan and of the optimiser's plan (the ILP's, or the exact one-row
+    search's optimum) when they ran for this plan, so quality telemetry
+    can report the live greedy-vs-optimiser gap; ``None`` means that
+    solver was not consulted.
     """
 
     multiplot: Multiplot
@@ -57,8 +59,16 @@ class VisualizationPlanner:
 
     * ``"greedy"`` — Section 6 greedy only (never times out).
     * ``"ilp"`` — Section 5 ILP only, honouring ``timeout_seconds``.
-    * ``"best"`` — run both and keep the lower-cost multiplot (falling
-      back to greedy when the ILP fails outright).
+    * ``"best"`` — the optimum where it can be found fast, else the
+      better of greedy and the ILP.  Greedy runs first and is the
+      incumbent.  On a one-row screen without processing groups or a
+      processing budget, the exact plot-set search
+      (:mod:`repro.core.exact_row`) then proves the optimum in
+      milliseconds (``solver_name="exact"``, ``optimal=True``) and the
+      ILP never runs.  Every other case, and one-row screens with more
+      plot sets than :data:`~repro.core.exact_row.MAX_PLOT_SETS`, runs
+      the ILP under ``timeout_seconds`` and keeps the lower-cost plan
+      (greedy when the ILP fails outright).
 
     The planner holds no per-request state, so one instance may plan for
     many threads concurrently.  An optional ``plan_cache``
@@ -175,6 +185,11 @@ class VisualizationPlanner:
         if self.strategy == "ilp":
             return self._plan_ilp(problem, processing_groups)
         greedy_result = self._plan_greedy(problem)
+        if not processing_groups and exact_row_applies(problem):
+            exact_result = self._plan_exact(problem, greedy_result,
+                                            deadline)
+            if exact_result is not None:
+                return exact_result
         if deadline is not None and \
                 deadline.remaining_ms() < self.timeout_seconds * 1000.0:
             # Not enough budget left for the ILP's own timeout: keep the
@@ -205,6 +220,37 @@ class VisualizationPlanner:
             return replace(ilp_result, **both)
         current_span().set_attribute("decision", "greedy kept")
         return replace(greedy_result, **both)
+
+    def _plan_exact(self, problem: MultiplotSelectionProblem,
+                    greedy_result: PlannerResult,
+                    deadline) -> PlannerResult | None:
+        """The proven one-row optimum, with the greedy plan as incumbent;
+        None when the screen has too many plot sets for the search."""
+        with trace_span("planner.exact") as span:
+            start = time.perf_counter()
+            search = solve_exact_row(problem, greedy_result.expected_cost,
+                                     deadline)
+            span.set_attribute("plot_sets", search.plot_sets)
+            span.set_attribute("sets_examined", search.sets_examined)
+            span.set_attribute("capped", search.capped)
+            if search.capped:
+                return None
+            span.set_attribute("expected_cost",
+                               round(search.expected_cost, 3))
+        current_span().set_attribute("decision", "exact")
+        multiplot = (search.multiplot if search.multiplot is not None
+                     else greedy_result.multiplot)
+        return PlannerResult(
+            multiplot=multiplot,
+            expected_cost=search.expected_cost,
+            solver_name="exact",
+            elapsed_seconds=(greedy_result.elapsed_seconds
+                             + time.perf_counter() - start),
+            optimal=True,
+            timed_out=False,
+            greedy_cost=greedy_result.expected_cost,
+            ilp_cost=search.expected_cost,
+        )
 
     def _plan_greedy(self, problem: MultiplotSelectionProblem,
                      ) -> PlannerResult:

@@ -81,6 +81,12 @@ class TestAssessResponse:
         assert gap is not None
         assert gap >= -1.0
 
+    def test_exact_path_gap_is_non_negative(self, muve):
+        response = muve.ask(
+            "average resolution hours where borough brooklyn")
+        assert response.planning.solver_name == "exact"
+        assert response.quality.optimality_gap >= 0.0
+
     def test_assess_matches_attached_record(self, muve):
         intended = intended_query()
         response = muve.ask(
@@ -144,6 +150,14 @@ class TestRecordAndSummary:
             intended_outcome="unknown", intended_rank=None), registry)
         summary = quality_summary(registry)
         assert summary["intended_highlighted_rate"] == 1.0
+
+    def test_optimality_gap_is_recorded_signed(self):
+        registry = MetricsRegistry()
+        record_quality(self.make_record(optimality_gap=-0.3), registry)
+        record_quality(self.make_record(optimality_gap=0.1), registry)
+        gap = quality_summary(registry)["histograms"]["optimality_gap"]
+        assert gap["min"] == pytest.approx(-0.3)
+        assert gap["mean"] == pytest.approx(-0.1)
 
     def test_exemplar_reaches_the_coverage_histogram(self):
         registry = MetricsRegistry()
